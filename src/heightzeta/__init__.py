@@ -10,7 +10,6 @@ from .algebra import (
     motive_pgl2,
     motive_sym_p1,
     series_one_minus_inverse,
-    specialize,
 )
 from .kodaira import (
     CATALOG_NAMES,
@@ -20,8 +19,6 @@ from .kodaira import (
     catalog,
     catalog_to_json,
     enumerate_configurations,
-    euler_number,
-    trivial_lattice_rank,
 )
 from .oracle import configuration_census, oracle_factor_expansion, oracle_z_triv
 from .zeta import (
@@ -31,7 +28,6 @@ from .zeta import (
     cusp_resummed_weight,
     default_prefactor,
     euler_factor,
-    extract_t_series,
     geometric_resummation,
     multivariate_H,
     substitutions_for,
@@ -58,8 +54,6 @@ __all__ = [
     "default_prefactor",
     "enumerate_configurations",
     "euler_factor",
-    "euler_number",
-    "extract_t_series",
     "geometric_resummation",
     "motive_pgl2",
     "motive_sym_p1",
@@ -67,8 +61,6 @@ __all__ = [
     "oracle_factor_expansion",
     "oracle_z_triv",
     "series_one_minus_inverse",
-    "specialize",
     "substitutions_for",
-    "trivial_lattice_rank",
     "z_triv",
 ]

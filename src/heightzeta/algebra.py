@@ -1,10 +1,22 @@
 """Exact arithmetic for the nested coefficient rings.
 
 Three layers, innermost first: sparse Laurent polynomials in the Lefschetz
-class L with arbitrary-precision integer coefficients, polynomials in the
-lattice-rank variable u over those, and power series in the discriminant
-variable s truncated at a fixed order.  A fourth structure carries formal
+class L with arbitrary-precision integer coefficients (`LefschetzPoly`),
+polynomials in the lattice-rank variable u over those (`LatticePoly`), and
+power series in the discriminant variable s truncated at a fixed order
+(`DiscSeries`).  A fourth structure, `MarkVariablePoly`, carries formal
 marking variables on top of the series layer.
+
+The two polynomial layers share one sparse-dict base, `_SparsePoly`, that
+holds everything they have in common: the canonicalizing constructor,
+coercion, equality, the additive group and powers.  Sparse addition lives
+in one accumulator, `_accumulate`, and every product of u-polynomials --
+`LatticePoly * LatticePoly`, each s-degree of `DiscSeries * DiscSeries`
+and each step of the geometric inverse -- is one call of the bucket
+kernel `_sum_of_products`, which sums a batch of products in flat
+(u -> L -> coefficient) buckets without building intermediate
+polynomials.  Binary powering is `_power`, for polynomials and series
+alike.
 
 All values are immutable after construction; arithmetic returns fresh
 objects and keeps a canonical sparse form (no stored zero coefficients,
@@ -15,23 +27,53 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class LefschetzPoly:
-    """Sparse Laurent polynomial in the Lefschetz class L.
+def _accumulate(out, items):
+    """Add (key, value) pairs into the sparse dict `out`, dropping any key
+    whose sum is zero; returns `out`."""
+    for key, value in items:
+        v = out.get(key)
+        v = value if v is None else v + value
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
 
-    Exponents may be negative (the ring is localized at L).  Coefficients
-    are integers in normal use; rational coefficients only appear after
-    `specialize` with a rational value of L.
+
+def _power(base, n, one):
+    """base**n by binary powering, starting from the ring's `one`."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class _SparsePoly:
+    """Sparse polynomial as a dict exponent -> nonzero coefficient.
+
+    Subclasses name the scalar types that coerce to constants in
+    `_SCALARS` and may validate or convert each term in `_check_term`.
     """
 
     __slots__ = ("terms",)
+    _SCALARS = (int, Fraction)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for e, c in terms.items():
+                c = self._check_term(e, c)
                 if c:
                     clean[int(e)] = c
         self.terms = clean
+
+    def _check_term(self, exp, coef):
+        return coef
 
     @classmethod
     def _make(cls, terms):
@@ -52,13 +94,13 @@ class LefschetzPoly:
     def one(cls):
         return cls({0: 1})
 
-    @staticmethod
-    def coerce(value):
-        if isinstance(value, LefschetzPoly):
+    @classmethod
+    def coerce(cls, value):
+        if isinstance(value, cls):
             return value
-        if isinstance(value, (int, Fraction)):
-            return LefschetzPoly({0: value})
-        raise TypeError(f"cannot coerce {type(value).__name__} to LefschetzPoly")
+        if isinstance(value, cls._SCALARS):
+            return cls({0: value})
+        raise TypeError(f"cannot coerce {type(value).__name__} to {cls.__name__}")
 
     def is_zero(self):
         return not self.terms
@@ -67,65 +109,69 @@ class LefschetzPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LefschetzPoly.coerce(other)
-        if not isinstance(other, LefschetzPoly):
+        if isinstance(other, self._SCALARS):
+            other = self.coerce(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
     def __add__(self, other):
-        other = LefschetzPoly.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LefschetzPoly._make(out)
+        other = self.coerce(other)
+        return self._make(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LefschetzPoly._make({e: -c for e, c in self.terms.items()})
+        return self._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-LefschetzPoly.coerce(other))
+        return self + (-self.coerce(other))
 
     def __rsub__(self, other):
-        return LefschetzPoly.coerce(other) + (-self)
+        return self.coerce(other) + (-self)
+
+    def __pow__(self, n):
+        return _power(self, n, self.one())
+
+    def constant(self):
+        """The value of a constant polynomial (through every layer);
+        raises otherwise."""
+        if not self.terms:
+            return 0
+        if set(self.terms) != {0}:
+            raise ValueError(f"not a constant: {self}")
+        c = self.terms[0]
+        return c.constant() if isinstance(c, _SparsePoly) else c
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LefschetzPoly(_SparsePoly):
+    """Sparse Laurent polynomial in the Lefschetz class L.
+
+    Exponents may be negative (the ring is localized at L).  Coefficients
+    are integers in normal use; rational coefficients only appear after
+    `DiscSeries.specialize` with a rational value of L.
+    """
+
+    __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._SCALARS):
             if not other:
                 return LefschetzPoly._make({})
             return LefschetzPoly._make({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LefschetzPoly):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LefschetzPoly._make(out)
+        return LefschetzPoly._make(_accumulate({}, (
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = LefschetzPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, value):
         """Substitute a rational number for L.  Raises on 0 with poles."""
@@ -136,20 +182,6 @@ class LefschetzPoly:
         for e, c in self.terms.items():
             total += c * value ** e
         return total
-
-    def constant(self):
-        """The value of a degree-zero polynomial; raises otherwise."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {0}:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[0]
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def to_json(self):
         return {"terms": [{"exp": e, "coef": str(c)} for e, c in self.sorted_terms()]}
@@ -173,9 +205,6 @@ class LefschetzPoly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    def __repr__(self):
-        return f"LefschetzPoly({self})"
-
 
 #: The Lefschetz class itself, as a polynomial.
 L = LefschetzPoly.monomial(1)
@@ -193,116 +222,29 @@ def motive_pgl2():
     return LefschetzPoly({3: 1, 1: -1})
 
 
-class LatticePoly:
+class LatticePoly(_SparsePoly):
     """Polynomial in the lattice-rank variable u with LefschetzPoly coefficients.
 
     u-exponents are non-negative: the trivial-lattice grading never drops
     below the baseline.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _SCALARS = (int, Fraction, LefschetzPoly)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if e < 0:
-                    raise ValueError("u-exponents must be non-negative")
-                c = LefschetzPoly.coerce(c)
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
-
-    @classmethod
-    def _make(cls, terms):
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
-
-    @classmethod
-    def monomial(cls, u_exp, coef=1):
-        return cls({u_exp: coef})
-
-    @classmethod
-    def zero(cls):
-        return cls._make({})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @staticmethod
-    def coerce(value):
-        if isinstance(value, LatticePoly):
-            return value
-        if isinstance(value, (int, Fraction, LefschetzPoly)):
-            c = LefschetzPoly.coerce(value)
-            return LatticePoly._make({0: c} if c else {})
-        raise TypeError(f"cannot coerce {type(value).__name__} to LatticePoly")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LefschetzPoly)):
-            other = LatticePoly.coerce(other)
-        if not isinstance(other, LatticePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = LatticePoly.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LatticePoly._make(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LatticePoly._make({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-LatticePoly.coerce(other))
-
-    def __rsub__(self, other):
-        return LatticePoly.coerce(other) + (-self)
+    def _check_term(self, exp, coef):
+        if exp < 0:
+            raise ValueError("u-exponents must be non-negative")
+        return LefschetzPoly.coerce(coef)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LefschetzPoly)):
+        if isinstance(other, self._SCALARS):
             other = LatticePoly.coerce(other)
         if not isinstance(other, LatticePoly):
             return NotImplemented
-        # accumulate flat (u-exp -> L-exp -> coef) buckets to avoid building
-        # intermediate polynomials in the hot path
-        buckets = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                bucket = buckets.setdefault(e1 + e2, {})
-                for l1, v1 in c1.terms.items():
-                    for l2, v2 in c2.terms.items():
-                        l = l1 + l2
-                        bucket[l] = bucket.get(l, 0) + v1 * v2
-        return LatticePoly._collapse(buckets)
+        return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__
-
-    @classmethod
-    def _collapse(cls, buckets):
-        out = {}
-        for e, bucket in buckets.items():
-            lef = {l: v for l, v in bucket.items() if v}
-            if lef:
-                out[e] = LefschetzPoly._make(lef)
-        return cls._make(out)
 
     def substitute(self, u_val=None, L_val=None):
         """Substitute rational values for u and/or L; stays a LatticePoly.
@@ -323,17 +265,6 @@ class LatticePoly:
                 acc = acc + c * u_val ** e
             result = LatticePoly.coerce(acc)
         return result
-
-    def constant(self):
-        """The value of a fully specialized polynomial; raises otherwise."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {0}:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[0].constant()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def to_json(self):
         out = []
@@ -357,8 +288,29 @@ class LatticePoly:
                 parts.append(var if cs == "1" else f"{cs}*{var}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"LatticePoly({self})"
+
+def _sum_of_products(pairs):
+    """The LatticePoly sum of a * b over the (a, b) LatticePoly pairs.
+
+    The one product kernel of the ring tower: all products are accumulated
+    in flat (u-exp -> L-exp -> coef) buckets, so no intermediate polynomial
+    is built, and zeros are dropped once at the end.
+    """
+    buckets = {}
+    for a, b in pairs:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                bucket = buckets.setdefault(e1 + e2, {})
+                for l1, v1 in c1.terms.items():
+                    for l2, v2 in c2.terms.items():
+                        l = l1 + l2
+                        bucket[l] = bucket.get(l, 0) + v1 * v2
+    out = {}
+    for e, bucket in buckets.items():
+        lef = {l: v for l, v in bucket.items() if v}
+        if lef:
+            out[e] = LefschetzPoly._make(lef)
+    return LatticePoly._make(out)
 
 
 class DiscSeries:
@@ -473,36 +425,15 @@ class DiscSeries:
             return NotImplemented
         order = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        coeffs = []
-        for n in range(order + 1):
-            buckets = {}
-            for i in range(n + 1):
-                ai, bi = a[i], b[n - i]
-                if not (ai and bi):
-                    continue
-                for e1, c1 in ai.terms.items():
-                    for e2, c2 in bi.terms.items():
-                        bucket = buckets.setdefault(e1 + e2, {})
-                        for l1, v1 in c1.terms.items():
-                            for l2, v2 in c2.terms.items():
-                                l = l1 + l2
-                                bucket[l] = bucket.get(l, 0) + v1 * v2
-            coeffs.append(LatticePoly._collapse(buckets))
-        return DiscSeries._make(order, tuple(coeffs))
+        return DiscSeries._make(order, tuple(
+            _sum_of_products((a[i], b[n - i]) for i in range(n + 1)
+                             if a[i] and b[n - i])
+            for n in range(order + 1)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DiscSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, DiscSeries.one(self.order))
 
     def specialize(self, u_val=None, L_val=None):
         """Substitute rational values for u and/or L coefficient-wise."""
@@ -549,17 +480,9 @@ def series_one_minus_inverse(y: DiscSeries) -> DiscSeries:
     inv = [LatticePoly.one()]
     yk = y.coeffs
     for n in range(1, y.order + 1):
-        acc = LatticePoly.zero()
-        for k in range(1, n + 1):
-            if yk[k] and inv[n - k]:
-                acc = acc + yk[k] * inv[n - k]
-        inv.append(acc)
+        inv.append(_sum_of_products((yk[k], inv[n - k]) for k in range(1, n + 1)
+                                    if yk[k] and inv[n - k]))
     return DiscSeries._make(y.order, tuple(inv))
-
-
-def specialize(p: DiscSeries, u_val=None, L_val=None) -> DiscSeries:
-    """Module-level alias for DiscSeries.specialize."""
-    return p.specialize(u_val=u_val, L_val=L_val)
 
 
 class MarkVariablePoly:
@@ -627,32 +550,21 @@ class MarkVariablePoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            v = out.get(exps)
-            v = coef if v is None else v + coef
-            if v:
-                out[exps] = v
-            elif exps in out:
-                del out[exps]
+        out = _accumulate(dict(self.terms), other.terms.items())
         return MarkVariablePoly._make(self.labels, self.weights, self.order, out)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                budget = self.order - self._weighted_degree(exps)
-                if budget < 0:
-                    continue
-                p = (c1.truncate(budget) * c2.truncate(budget)).truncate(budget)
-                v = out.get(exps)
-                v = p if v is None else v + p
-                if v:
-                    out[exps] = v
-                elif exps in out:
-                    del out[exps]
+
+        def products():
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    exps = tuple(a + b for a, b in zip(e1, e2))
+                    budget = self.order - self._weighted_degree(exps)
+                    if budget >= 0:
+                        yield exps, (c1.truncate(budget) * c2.truncate(budget)).truncate(budget)
+
+        out = _accumulate({}, products())
         return MarkVariablePoly._make(self.labels, self.weights, self.order, out)
 
     def substitute(self, assignments) -> DiscSeries:

@@ -60,6 +60,15 @@ def _parse_lefschetz_term(text):
     return -poly if neg else poly
 
 
+def _parse_rational(flag, text):
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} must be a rational number, got {text!r}") from None
+
+
 def parse_prefactor(text) -> LatticePoly:
     """Parse the prefactor mini-syntax: a '*'-separated product of a
     u-power, integers, L-powers and parenthesized L-polynomials,
@@ -92,12 +101,8 @@ def parse_prefactor(text) -> LatticePoly:
     return result
 
 
-def _lattice_json(p: LatticePoly):
-    return p.to_json()
-
-
 def _series_payload(series):
-    return [{"s": n, **_lattice_json(c)} for n, c in enumerate(series.coeffs)]
+    return [{"s": n, **c.to_json()} for n, c in enumerate(series.coeffs)]
 
 
 def _emit(payload, fmt, rows=None):
@@ -136,9 +141,9 @@ def cmd_compute(args):
     payload = {
         "catalog": cat.name,
         "order": args.order,
-        "prefactor": _lattice_json(prefactor),
+        "prefactor": prefactor.to_json(),
         "series": _series_payload(result.series),
-        "t_series": [{"n": i, **_lattice_json(c)}
+        "t_series": [{"n": i, **c.to_json()}
                      for i, c in enumerate(result.t_series)],
         "residual_degrees": list(result.residual_degrees),
     }
@@ -150,8 +155,8 @@ def cmd_specialize(args):
     cat = catalog(args.catalog)
     prefactor = (parse_prefactor(args.prefactor) if args.prefactor
                  else default_prefactor(cat))
-    u_val = Fraction(args.u) if args.u is not None else None
-    l_val = Fraction(args.L) if args.L is not None else None
+    u_val = _parse_rational("--u", args.u)
+    l_val = _parse_rational("--L", args.L)
     if l_val == 0:
         raise UsageError("L=0 is not allowed: negative L-exponents may occur")
     result = z_triv(cat, args.order, prefactor)
@@ -161,7 +166,7 @@ def cmd_specialize(args):
         if u_val is not None and l_val is not None:
             entries.append({"s": n, "value": str(c.constant())})
         else:
-            entries.append({"s": n, **_lattice_json(c)})
+            entries.append({"s": n, **c.to_json()})
     payload = {
         "catalog": cat.name,
         "order": args.order,
@@ -177,20 +182,18 @@ def cmd_specialize(args):
 def cmd_census(args):
     cat = catalog(args.catalog)
     report = configuration_census(cat, args.max_degree)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for row in report["degrees"]:
-            flags = f", flagged={len(row['flagged'])}" if row["flagged"] else ""
-            print(f"degree {row['degree']}: count={row['count']}, "
-                  f"T={row['t_distribution']}, "
-                  f"max_k={row['max_contact_order']}{flags}")
+    rows = []
+    for row in report["degrees"]:
+        flags = f", flagged={len(row['flagged'])}" if row["flagged"] else ""
+        rows.append(f"degree {row['degree']}: count={row['count']}, "
+                    f"T={row['t_distribution']}, "
+                    f"max_k={row['max_contact_order']}{flags}")
+    _emit(report, args.format, rows)
     return EXIT_OK
 
 
 def cmd_export_catalog(args):
-    print(json.dumps(catalog_to_json(catalog(args.catalog)),
-                     sort_keys=True, indent=2))
+    _emit(catalog_to_json(catalog(args.catalog)), "json")
     return EXIT_OK
 
 

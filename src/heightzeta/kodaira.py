@@ -45,16 +45,11 @@ class FiberType:
         return self.comp_minus_one
 
     def disc_valuation(self, k=1):
-        """Valuation of the discriminant, at contact order k."""
+        """Valuation of the discriminant, at contact order k; equals the
+        Euler number of the fiber away from characteristic 2, 3."""
         if self.is_cusp_family:
             return self.disc_val + k
         return self.disc_val
-
-
-def euler_number(ft: FiberType, k=1):
-    """Euler number of the fiber; equals the discriminant valuation away
-    from characteristic 2, 3."""
-    return ft.disc_valuation(k)
 
 
 @dataclass(frozen=True)
@@ -153,6 +148,8 @@ class FiberConfiguration:
         return sum(ft.disc_valuation(k) for ft, k in self.entries)
 
     def trivial_lattice_rank(self):
+        """Rank of the trivial lattice: 2 plus the component excess over
+        all singular fibers."""
         return 2 + sum(ft.components_minus_one(k) for ft, k in self.entries)
 
     def max_contact_order(self):
@@ -195,12 +192,6 @@ class FiberConfiguration:
 
     def __repr__(self):
         return f"FiberConfiguration({self.label()})"
-
-
-def trivial_lattice_rank(config: FiberConfiguration):
-    """Rank of the trivial lattice: 2 plus the component excess over all
-    singular fibers."""
-    return config.trivial_lattice_rank()
 
 
 def enumerate_configurations(cat: Catalog, degree):

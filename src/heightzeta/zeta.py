@@ -70,24 +70,18 @@ def build_factor(ft: FiberType, order) -> FactorSpec:
     """Local factor of one catalog row, with its reduced-display data."""
     if ft.is_cusp_family:
         y = ft.motive * cusp_resummed_weight(ft, order)
-        return FactorSpec(
-            source=ft,
-            y=y,
-            motive=ft.motive,
-            u_exp=ft.components_minus_one(1),
-            s_exp=ft.disc_valuation(1),
-            cusp_denominator=1,
-        )
-    y = DiscSeries.monomial(
-        order, ft.disc_valuation(),
-        LatticePoly.monomial(ft.components_minus_one(), ft.motive))
+    else:
+        y = DiscSeries.monomial(
+            order, ft.disc_valuation(),
+            LatticePoly.monomial(ft.components_minus_one(), ft.motive))
+    # for a cusp family the display monomial is its k=1 term
     return FactorSpec(
         source=ft,
         y=y,
         motive=ft.motive,
-        u_exp=ft.components_minus_one(),
-        s_exp=ft.disc_valuation(),
-        cusp_denominator=0,
+        u_exp=ft.components_minus_one(1),
+        s_exp=ft.disc_valuation(1),
+        cusp_denominator=int(ft.is_cusp_family),
     )
 
 
@@ -185,8 +179,3 @@ def z_triv(cat: Catalog, order, prefactor=None) -> ZetaResult:
     residual = tuple(n for n in range(order + 1)
                      if n % 12 != 0 and series.coeffs[n])
     return ZetaResult(series=series, t_series=t_series, residual_degrees=residual)
-
-
-def extract_t_series(z: ZetaResult):
-    """Coefficients at s^0, s^12, s^24, ... up to the truncation order."""
-    return list(z.t_series)

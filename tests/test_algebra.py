@@ -11,7 +11,6 @@ from heightzeta.algebra import (
     motive_pgl2,
     motive_sym_p1,
     series_one_minus_inverse,
-    specialize,
 )
 
 coefs = st.integers(min_value=-9, max_value=9)
@@ -171,21 +170,21 @@ class TestGeometricInverse:
 class TestSpecialize:
     def test_frozen_example(self):
         p = DiscSeries.monomial(6, 6, LatticePoly.monomial(4, L ** 12 - L ** 11))
-        out = specialize(p, u_val=1, L_val=3)
+        out = p.specialize(u_val=1, L_val=3)
         assert out.constant_values()[6] == 354294
 
     def test_identity_without_substitutions(self):
         p = DiscSeries.monomial(4, 2, LatticePoly.monomial(1, L))
-        assert specialize(p) == p
+        assert p.specialize() == p
 
     def test_rational_values(self):
         p = DiscSeries.monomial(2, 0, LatticePoly.monomial(1, LefschetzPoly.monomial(-1)))
-        out = specialize(p, u_val=Fraction(1, 2), L_val=Fraction(2, 3))
+        out = p.specialize(u_val=Fraction(1, 2), L_val=Fraction(2, 3))
         assert out.constant_values()[0] == Fraction(3, 4)
 
     @given(disc_series(order=4), disc_series(order=4))
     @settings(max_examples=40)
     def test_commutes_with_multiplication(self, a, b):
-        spec_then_mul = specialize(a, 1, 2) * specialize(b, 1, 2)
-        mul_then_spec = specialize(a * b, 1, 2)
+        spec_then_mul = a.specialize(1, 2) * b.specialize(1, 2)
+        mul_then_spec = (a * b).specialize(1, 2)
         assert spec_then_mul == mul_then_spec

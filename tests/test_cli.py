@@ -1,6 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import heightzeta
 
 from heightzeta.algebra import L, LatticePoly
 from heightzeta.cli import (
@@ -124,6 +130,20 @@ class TestSpecialize:
         assert code == EXIT_USAGE
         assert "L=0" in err
 
+    @pytest.mark.parametrize("value", ["--u=abc", "--L=1/0", "--u=1/0"])
+    def test_malformed_rational_is_one_line_error(self, value):
+        src = os.path.dirname(os.path.dirname(heightzeta.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "heightzeta.cli", "specialize", "--catalog",
+             "full", "--order", "1", value],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("heightzeta: error: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestCensusCommand:
     def test_counts(self, capsys):
@@ -177,3 +197,41 @@ class TestUsageErrors:
         monkeypatch.setenv("HEIGHTZETA_ORDER", "many")
         code, _, err = run(capsys, "compute", "--catalog", "gamma1_4")
         assert code == EXIT_USAGE
+
+
+# sha256 of stdout, pinned from the released output; any change to the
+# ring arithmetic or the serializers that moves a byte fails here.
+GOLDEN_STDOUT = [
+    (("compute", "--catalog", "full", "--order", "12", "--format", "json"),
+     "2dc1394b82dc4c2a2e4bdc2fa8b7e1be3617d38a5431068fd7e97870cd7b9551"),
+    (("compute", "--catalog", "gamma1_2", "--order", "12", "--format", "json"),
+     "7f1c1cda275e048ff0b8813c9b57d4fdb2062ba6139f28f767011aeb92b12405"),
+    (("compute", "--catalog", "gamma1_3", "--order", "12", "--format", "json"),
+     "f3e4e8ffabf7b045f03f274683c5f59e57615e6b2e12a17c88db567f621b42c1"),
+    (("compute", "--catalog", "gamma1_4", "--order", "12", "--format", "json"),
+     "aef044ecb09eb1a4e11a8cc207d762b61bf75ce3c3c2d9e6bf5924ec49c1dee2"),
+    (("compute", "--catalog", "full", "--order", "12", "--format", "csv"),
+     "d0e4a53f9d891bcaa14a32e724641b527a8e4b7e95df1a1eca2dbf56d0ed40fb"),
+    (("compute", "--catalog", "full", "--order", "12"),
+     "871dc236b0382d9c48b92cf53b38926be7ce3b449f717e843bde9cae38379894"),
+    (("specialize", "--catalog", "full", "--order", "12", "--u=3/4",
+      "--L=-5/7", "--format", "json"),
+     "7d4c0bd0c697e6e0aa0b172f1b855e9e507dcecd1dd93ce7435a4d057942a92c"),
+    (("specialize", "--catalog", "full", "--order", "12", "--L=2",
+      "--format", "json"),
+     "e9ed4ac4760f90ae1259a066fa4cf6bdedc449134cf3c93c83dd978c00d1dfde"),
+    (("census", "--catalog", "full", "--max-degree", "12", "--format", "json"),
+     "712bd62ff219df80762d7dca8d445ce1bc62babaf1ec6bc8ae6f2546c6145eda"),
+    (("census", "--catalog", "full", "--max-degree", "12"),
+     "5f919d9760a06519ed67b4bb69653f65a5e3c0e3bfb106ac63025e943fa4ae82"),
+    (("export-catalog", "--catalog", "full"),
+     "4cd7d36a55cb12ff654472fc6a991fed61e093dca16a78c06b2595dcce3bcb59"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

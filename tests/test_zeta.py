@@ -20,7 +20,6 @@ from heightzeta.zeta import (
     cusp_resummed_weight,
     default_prefactor,
     euler_factor,
-    extract_t_series,
     geometric_resummation,
     multivariate_H,
     substitutions_for,
@@ -180,8 +179,8 @@ class TestZTriv:
 
     def test_t_series_and_residuals(self):
         z = z_triv(catalog("full"), 24)
-        assert len(extract_t_series(z)) == 3
-        assert extract_t_series(z)[0] == LatticePoly.monomial(2, L)
+        assert len(z.t_series) == 3
+        assert z.t_series[0] == LatticePoly.monomial(2, L)
         assert 1 in z.residual_degrees
 
     def test_residuals_order_two(self):
