@@ -5,6 +5,7 @@ from .algebra import (
     DiscSeries,
     L,
     LatticePoly,
+    LayoutTooLarge,
     LefschetzPoly,
     MarkVariablePoly,
     motive_pgl2,
@@ -43,6 +44,7 @@ __all__ = [
     "FiberType",
     "L",
     "LatticePoly",
+    "LayoutTooLarge",
     "LefschetzPoly",
     "MarkVariablePoly",
     "ZetaResult",

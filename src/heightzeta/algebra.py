@@ -18,6 +18,10 @@ kernel `_sum_of_products`, which sums a batch of products in flat
 polynomials.  Binary powering is `_power`, for polynomials and series
 alike.
 
+`KroneckerLayout` packs a u-polynomial into one Python int (Kronecker
+substitution, one fixed-width signed slot per (u, L) exponent), so that
+the Euler product's sparse recurrences run as big-int shifts and adds.
+
 All values are immutable after construction; arithmetic returns fresh
 objects and keeps a canonical sparse form (no stored zero coefficients,
 iteration sorted by exponent).
@@ -483,6 +487,165 @@ def series_one_minus_inverse(y: DiscSeries) -> DiscSeries:
         inv.append(_sum_of_products((yk[k], inv[n - k]) for k in range(1, n + 1)
                                     if yk[k] and inv[n - k]))
     return DiscSeries._make(y.order, tuple(inv))
+
+
+#: Largest packed product that `KroneckerLayout.fit` accepts, counted as
+#: order + 1 coefficients of rows x slots slots of at least one byte each
+#: (a slot is `width` bytes).  Order 96 on the full catalog needs 15.7 M.
+MAX_PACKED_BYTES = 1 << 24
+
+
+class LayoutTooLarge(ValueError):
+    """The packed product of a requested order exceeds MAX_PACKED_BYTES."""
+
+
+def _shifted(value, shift):
+    return value << shift if shift >= 0 else value >> -shift
+
+
+def _apply_sparse_factor(f, numerator, denominator):
+    """f <- f * (1 + N) / (1 - D) in place, on a list of ints indexed by
+    s-degree; N and D are tuples of (s_exp >= 1, multiplier, shift) terms.
+
+    Multiplying by 1 + N runs with descending n, so every read of f[n - d]
+    sees the old value; dividing by 1 - D is the ascending recurrence
+    f[n] += D-terms * f[n - d], which reads the new ones.
+    """
+    order = len(f) - 1
+    for n in range(order, 0, -1):
+        for d, m, shift in numerator:
+            if d <= n and f[n - d]:
+                f[n] = _add_multiple(f[n], m, _shifted(f[n - d], shift))
+    for n in range(1, order + 1):
+        for d, m, shift in denominator:
+            if d <= n and f[n - d]:
+                f[n] = _add_multiple(f[n], m, _shifted(f[n - d], shift))
+
+
+def _add_multiple(x, m, y):
+    # a unit multiplier costs no big-int product
+    if m == 1:
+        return x + y
+    if m == -1:
+        return x - y
+    return x + m * y
+
+
+class KroneckerLayout:
+    """Kronecker substitution of Z[u, L^+-1] into one Python int per
+    s-coefficient.
+
+    The term c*u^i*L^j sits in slot i*slots + (j - l_offset), `width` bytes
+    per slot, as the signed digit c: the packed value is the exact integer
+    sum c * 2^(8*width*slot).  Sums of packed values are sums of
+    polynomials and a shift by `shift(a, e)` bits multiplies by u^a*L^e,
+    so a sparse Euler factor costs a few big-int shifts and adds per
+    s-degree.  The layout is exact when every term of every intermediate
+    lies inside rows x slots and every final |c| < 2^(8*width - 1);
+    `fit` sizes it so.
+    """
+
+    __slots__ = ("rows", "slots", "l_offset", "width")
+
+    def __init__(self, rows, slots, l_offset, width):
+        self.rows = rows
+        self.slots = slots
+        self.l_offset = l_offset
+        self.width = width
+
+    @classmethod
+    def fit(cls, prefactor, factors, order):
+        """The layout for prefactor * prod (1 + N) / (1 - D) truncated at
+        s^order, each factor a pair (N, D) of tuples of (s_exp, u_exp,
+        LefschetzPoly) terms.
+
+        Rows and slots are closed-form degree bounds: every monomial of the
+        product is a prefactor term times factor terms of total s-degree
+        <= order, so an exponent moves by at most order times its largest
+        ratio to s_exp.  Raises LayoutTooLarge when (order + 1) x rows x
+        slots exceeds MAX_PACKED_BYTES, before any coefficient work.  The
+        width bounds every coefficient by the same recurrence run on
+        absolute coefficient sums at u = L = 1, plus a sign bit.
+        """
+        if order < 0:
+            raise ValueError("truncation order must be non-negative")
+        terms = [t for factor in factors for part in factor for t in part]
+        if any(d < 1 for d, _, _ in terms):
+            raise ValueError("sparse factor terms need a positive s-exponent")
+        lefs = prefactor.terms.values()
+        u_hi = max(prefactor.terms, default=0) + max(
+            (order * a // d for d, a, _ in terms), default=0)
+        l_steps = [order * e // d for d, _, c in terms for e in c.terms]
+        l_lo = min((min(lef.terms) for lef in lefs), default=0) + min(l_steps + [0])
+        l_hi = max((max(lef.terms) for lef in lefs), default=0) + max(l_steps + [0])
+        rows, slots = u_hi + 1, l_hi - l_lo + 1
+        if (order + 1) * rows * slots > MAX_PACKED_BYTES:
+            raise LayoutTooLarge(
+                f"order {order} is too large: {order + 1} packed coefficients "
+                f"of {rows} x {slots} slots exceed the limit of "
+                f"{MAX_PACKED_BYTES} bytes")
+
+        def norms(part):
+            return tuple((d, sum(abs(v) for v in c.terms.values()), 0)
+                         for d, _, c in part)
+
+        majorant = [0] * (order + 1)
+        majorant[0] = sum(abs(v) for lef in lefs for v in lef.terms.values())
+        for numerator, denominator in factors:
+            _apply_sparse_factor(majorant, norms(numerator), norms(denominator))
+        width = (max(majorant).bit_length() + 8) // 8
+        return cls(rows, slots, l_lo, width)
+
+    def shift(self, u_exp, l_exp):
+        """Bit shift that multiplies a packed value by u^u_exp * L^l_exp."""
+        return 8 * self.width * (u_exp * self.slots + l_exp)
+
+    def pack(self, poly):
+        """The packed int of a LatticePoly with integer coefficients."""
+        total = 0
+        for i, lef in poly.terms.items():
+            for j, c in lef.terms.items():
+                if not isinstance(c, int):
+                    raise TypeError(f"packed coefficients must be integers, got {c!r}")
+                total += c << self.shift(i, j - self.l_offset)
+        return total
+
+    def apply(self, f, factor):
+        """f <- f * (1 + N) / (1 - D) on packed s-coefficients."""
+        _apply_sparse_factor(f, *(
+            tuple((d, m, self.shift(a, e))
+                  for d, a, c in part for e, m in c.terms.items())
+            for part in factor))
+
+    def unpack(self, value):
+        """The LatticePoly of a packed int.
+
+        One bias add of 2^(8*width - 1) per slot makes every digit
+        non-negative; the xor with the same bias turns each slot into its
+        two's-complement digit, so zero slots read as zero bytes.
+        """
+        width, slots = self.width, self.slots
+        row_bytes = width * slots
+        rows = min(self.rows, abs(value).bit_length() // (8 * row_bytes) + 1)
+        half = (1 << (8 * width - 1)).to_bytes(width, "little")
+        bias = int.from_bytes(half * (rows * slots), "little")
+        data = ((value + bias) ^ bias).to_bytes(rows * row_bytes, "little")
+        zero_row = bytes(row_bytes)
+        from_bytes, l_offset = int.from_bytes, self.l_offset
+        out = {}
+        for i in range(rows):
+            row = data[i * row_bytes:(i + 1) * row_bytes]
+            if row == zero_row:
+                continue
+            lo = (row_bytes - len(row.lstrip(b"\0"))) // width
+            hi = -(-len(row.rstrip(b"\0")) // width)
+            lef = {}
+            for k in range(lo, hi):
+                c = from_bytes(row[k * width:(k + 1) * width], "little", signed=True)
+                if c:
+                    lef[k + l_offset] = c
+            out[i] = LefschetzPoly._make(lef)
+        return LatticePoly._make(out)
 
 
 class MarkVariablePoly:

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import LatticePoly, LefschetzPoly
+from .algebra import LatticePoly, LayoutTooLarge, LefschetzPoly
 from .kodaira import CATALOG_NAMES, catalog, catalog_to_json
 from .oracle import configuration_census, oracle_z_triv
 from .zeta import default_prefactor, z_triv
@@ -147,7 +147,8 @@ def cmd_compute(args):
                      for i, c in enumerate(result.t_series)],
         "residual_degrees": list(result.residual_degrees),
     }
-    _emit(payload, args.format, _compute_rows(result.series, args.format))
+    rows = None if args.format == "json" else _compute_rows(result.series, args.format)
+    _emit(payload, args.format, rows)
     return EXIT_OK
 
 
@@ -264,7 +265,7 @@ def main(argv=None):
         if getattr(args, "max_degree", 0) < 0:
             raise UsageError("--max-degree must be non-negative")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, LayoutTooLarge) as exc:
         print(f"heightzeta: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

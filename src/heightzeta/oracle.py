@@ -3,8 +3,10 @@
 Everything here avoids geometric inversion: local factors are expanded as
 explicit symmetric-power sums sum_N {Sym^N(P^1)} Y^N with Y built by
 direct monomial summation, and the census re-derives the combinatorial
-invariants from exhaustive fiber-configuration enumeration.  Only
-addition, multiplication and truncation are shared with the main path.
+invariants from exhaustive fiber-configuration enumeration.  The product
+is plain `DiscSeries` convolution, which the main path (`zeta.z_triv`,
+sparse recurrences on Kronecker-packed coefficients) does not use: the two
+share only the coefficient types and the default prefactor.
 """
 from __future__ import annotations
 

@@ -5,6 +5,12 @@ Each catalog row yields one local factor: a monomial in u and s for the
 non-cusp types, and a geometric resummation over the contact order for the
 two cusp families.  The global series is the product of the full
 projective-line factors 1/((1-Y)(1-L*Y)) times a prefactor.
+
+`z_triv` never multiplies series: every denominator 1 - Y is a monomial in
+s (a trinomial after clearing 1/(1-us) for the cusp families), so it
+divides the Kronecker-packed coefficients in place by O(order) sparse
+recurrences.  `euler_factor` keeps the dense series form of one factor as
+the reference the tests check the recurrences against.
 """
 from __future__ import annotations
 
@@ -12,8 +18,10 @@ from dataclasses import dataclass
 
 from .algebra import (
     DiscSeries,
+    KroneckerLayout,
     L,
     LatticePoly,
+    LefschetzPoly,
     MarkVariablePoly,
     series_one_minus_inverse,
 )
@@ -66,6 +74,14 @@ def geometric_resummation(a_coef, a, b, c, d, order) -> DiscSeries:
     return head * series_one_minus_inverse(step)
 
 
+def _reduced_denominator(ft: FiberType):
+    """(motive, u_exp, s_exp, cusp_denominator) of one catalog row: the
+    local monomial (for a cusp family its k=1 term) and the multiplicity of
+    the cusp denominator 1/(1-us)."""
+    return (ft.motive, ft.components_minus_one(1), ft.disc_valuation(1),
+            int(ft.is_cusp_family))
+
+
 def build_factor(ft: FiberType, order) -> FactorSpec:
     """Local factor of one catalog row, with its reduced-display data."""
     if ft.is_cusp_family:
@@ -74,15 +90,7 @@ def build_factor(ft: FiberType, order) -> FactorSpec:
         y = DiscSeries.monomial(
             order, ft.disc_valuation(),
             LatticePoly.monomial(ft.components_minus_one(), ft.motive))
-    # for a cusp family the display monomial is its k=1 term
-    return FactorSpec(
-        source=ft,
-        y=y,
-        motive=ft.motive,
-        u_exp=ft.components_minus_one(1),
-        s_exp=ft.disc_valuation(1),
-        cusp_denominator=int(ft.is_cusp_family),
-    )
+    return FactorSpec(ft, y, *_reduced_denominator(ft))
 
 
 def euler_factor(fs: FactorSpec) -> DiscSeries:
@@ -167,14 +175,47 @@ def default_prefactor(cat: Catalog) -> LatticePoly:
     return LatticePoly.monomial(2)
 
 
+def _euler_denominators(motive, u_exp, s_exp, cusp_denominator):
+    """The full factor 1/((1-Y)(1-L*Y)) of one row as two sparse factors
+    (1 + N) / (1 - D), terms (s_exp, u_exp, LefschetzPoly).
+
+    For a non-cusp row Y = M u^a s^b, so N = 0 and D = M u^a s^b.  For a
+    cusp row Y = M u^a s^b / (1-us) and 1/(1-Y) = (1-us) / (1-us-M u^a s^b),
+    so N = -us and D = us + M u^a s^b.  Then the same with L*M.
+    """
+    us = ((1, 1, LefschetzPoly.one()),) if cusp_denominator else ()
+    numerator = tuple((d, a, -m) for d, a, m in us)
+    return tuple((numerator, us + ((s_exp, u_exp, m),))
+                 for m in (motive, L * motive))
+
+
 def z_triv(cat: Catalog, order, prefactor=None) -> ZetaResult:
     """The finite Euler product: prefactor times the product of all full
-    local factors, truncated at `order`."""
+    local factors, truncated at `order`.
+
+    The coefficients are Kronecker-packed (`KroneckerLayout`), and each
+    full factor is divided in place by its sparse denominators: for a
+    non-cusp row f[n] += M u^a f[n-b] for Y and for L*Y; a cusp row first
+    multiplies by (1-us), then runs f[n] += u f[n-1] + M u^a f[n-b].  The
+    layout is sized from the catalog before any series is built, so an
+    oversized order raises LayoutTooLarge at once.  The prefactor needs
+    integer coefficients.
+    """
     if prefactor is None:
         prefactor = default_prefactor(cat)
-    series = DiscSeries.monomial(order, 0, prefactor)
+    prefactor = LatticePoly.coerce(prefactor)
+    layout = KroneckerLayout.fit(
+        prefactor, [factor for ft in cat.types
+                    for factor in _euler_denominators(*_reduced_denominator(ft))],
+        order)
+    packed = [layout.pack(prefactor)] + [0] * order
     for ft in cat.types:
-        series = series * euler_factor(build_factor(ft, order))
+        # the recurrence reads the factor's reduced-denominator fields only
+        fs = build_factor(ft, order)
+        for factor in _euler_denominators(fs.motive, fs.u_exp, fs.s_exp,
+                                          fs.cusp_denominator):
+            layout.apply(packed, factor)
+    series = DiscSeries._make(order, tuple(layout.unpack(v) for v in packed))
     t_series = tuple(series.coeffs[n] for n in range(0, order + 1, 12))
     residual = tuple(n for n in range(order + 1)
                      if n % 12 != 0 and series.coeffs[n])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from heightzeta.algebra import (
     DiscSeries,
+    KroneckerLayout,
     L,
     LatticePoly,
     LefschetzPoly,
@@ -188,3 +189,23 @@ class TestSpecialize:
         spec_then_mul = a.specialize(1, 2) * b.specialize(1, 2)
         mul_then_spec = (a * b).specialize(1, 2)
         assert spec_then_mul == mul_then_spec
+
+
+class TestKroneckerLayout:
+    @given(lattice_polys, st.integers(0, 3))
+    def test_pack_unpack_roundtrip(self, p, scale):
+        p = p * LatticePoly.monomial(0, 10 ** (20 * scale))
+        layout = KroneckerLayout.fit(p, (), 0)
+        assert layout.unpack(layout.pack(p)) == p
+
+    @given(lattice_polys, lattice_polys)
+    def test_packed_sum_is_sum(self, p, q):
+        layout = KroneckerLayout.fit(p + q, (), 0)
+        wide = KroneckerLayout(layout.rows, layout.slots, layout.l_offset, 8)
+        assert wide.unpack(wide.pack(p) + wide.pack(q)) == p + q
+
+    def test_shift_is_monomial_product(self):
+        p = LatticePoly({0: LefschetzPoly({0: 3, -2: -1}), 1: -L})
+        layout = KroneckerLayout(3, 8, -2, 2)
+        shifted = layout.pack(p) << layout.shift(1, 2)
+        assert layout.unpack(shifted) == p * LatticePoly.monomial(1, L ** 2)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -198,6 +199,24 @@ class TestUsageErrors:
         code, _, err = run(capsys, "compute", "--catalog", "gamma1_4")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, env", [
+        (["compute", "--catalog", "full", "--order", "100000"], {}),
+        (["specialize", "--catalog", "gamma1_4", "--u=1"],
+         {"HEIGHTZETA_ORDER": "100000"}),
+    ])
+    def test_oversized_order_fails_fast(self, argv, env):
+        src = os.path.dirname(os.path.dirname(heightzeta.__file__))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "heightzeta.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, **env})
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("heightzeta: error: order 100000 is too large")
+
 
 # sha256 of stdout, pinned from the released output; any change to the
 # ring arithmetic or the serializers that moves a byte fails here.
@@ -226,6 +245,24 @@ GOLDEN_STDOUT = [
      "5f919d9760a06519ed67b4bb69653f65a5e3c0e3bfb106ac63025e943fa4ae82"),
     (("export-catalog", "--catalog", "full"),
      "4cd7d36a55cb12ff654472fc6a991fed61e093dca16a78c06b2595dcce3bcb59"),
+    (("compute", "--catalog", "full", "--order", "48", "--format", "json"),
+     "ef5d46f0bbf3860e5376c2befad657cd2f83e0150dad6323191d0f52ebdcbb2f"),
+    (("compute", "--catalog", "gamma1_4", "--order", "48", "--format", "json"),
+     "5ccd99cbd5bb5f6ecd1b4dbff25808bc7942c428ff5a9f267acf794ad1e64a15"),
+    (("compute", "--catalog", "full", "--order", "30",
+      "--prefactor=u^3*-3*L^-4*(-L^3-L-1)", "--format", "json"),
+     "53be488edbb9a12875b885bad2007e2043db646a2bc3e6c88eba281c584d7bc1"),
+    (("compute", "--catalog", "full", "--order", "30",
+      "--prefactor=u^3*-3*L^-4*(-L^3-L-1)"),
+     "7ac23b57eecc2709114a3378869c56a21c902e544a164385c710d1bd7afe0f63"),
+    (("compute", "--catalog", "full", "--order", "12", "--prefactor", "0",
+      "--format", "json"),
+     "ce3adb00a89cb399a4a7a6d07a24577fdaa92c78ecdb1814aa925d917ac20d72"),
+    (("compute", "--catalog", "full", "--order", "0", "--format", "json"),
+     "5bcaeaa23adc747d1071789a59ad0a259d645b57b00346c63bdf265f2d213e27"),
+    (("specialize", "--catalog", "full", "--order", "30", "--u=-3/7",
+      "--L=5/4", "--format", "json"),
+     "c0b6b50248a4e955e7f673b8f2afd614549f6488c482e4c9564655f24f9e3a83"),
 ]
 
 

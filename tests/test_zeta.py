@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heightzeta.algebra import (
     DiscSeries,
+    KroneckerLayout,
     L,
     LatticePoly,
+    LayoutTooLarge,
     LefschetzPoly,
     series_one_minus_inverse,
 )
 from heightzeta.kodaira import (
     CATALOG_NAMES,
+    Catalog,
+    FiberType,
     I0STAR_GENERIC,
     I0STAR_SPECIAL,
     I_CUSP,
@@ -25,6 +30,7 @@ from heightzeta.zeta import (
     substitutions_for,
     z_triv,
 )
+from heightzeta.zeta import _euler_denominators, _reduced_denominator
 
 
 def umono(order, s_exp, u_exp, coef=1):
@@ -204,6 +210,60 @@ class TestZTriv:
         values = z_triv(catalog("full"), 12).series.specialize(
             u_val=1, L_val=2).constant_values()
         assert all(v >= 0 and v == int(v) for v in values)
+
+
+# Synthetic catalogs for pitting the packed recurrence against the dense
+# series product: mixed-sign motives with negative L-exponents, and
+# coefficients past 2^64 so that the slots grow wide.
+big_coefs = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+synthetic_motives = st.dictionaries(
+    st.integers(-4, 6), big_coefs, max_size=3).map(LefschetzPoly)
+synthetic_prefactors = st.dictionaries(
+    st.integers(0, 3), synthetic_motives, max_size=3).map(
+        lambda d: LatticePoly({e: c for e, c in d.items() if c}))
+
+
+@st.composite
+def synthetic_types(draw):
+    if draw(st.booleans()):
+        # cusp family: u^(k + c) s^(k + d) at contact order k >= 1
+        return FiberType("cusp", (0, 0), draw(synthetic_motives),
+                         comp_minus_one=draw(st.integers(-1, 3)),
+                         disc_val=draw(st.integers(0, 4)), is_cusp_family=True)
+    return FiberType("plain", (2, 1), draw(synthetic_motives),
+                     comp_minus_one=draw(st.integers(0, 4)),
+                     disc_val=draw(st.integers(1, 6)))
+
+
+synthetic_catalogs = st.lists(synthetic_types(), max_size=4).map(
+    lambda types: Catalog("synthetic", tuple(types), ""))
+
+
+class TestPackedEulerProduct:
+    @given(synthetic_catalogs, synthetic_prefactors, st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_product(self, cat, prefactor, order):
+        dense = DiscSeries.monomial(order, 0, prefactor)
+        for ft in cat.types:
+            dense = dense * euler_factor(build_factor(ft, order))
+        assert z_triv(cat, order, prefactor).series == dense
+
+    def test_rejects_fraction_prefactor(self):
+        from fractions import Fraction
+        with pytest.raises(TypeError):
+            z_triv(catalog("gamma1_4"), 4, LatticePoly.monomial(0, Fraction(1, 2)))
+
+    def test_order_96_full_fits(self):
+        cat = catalog("full")
+        factors = [f for ft in cat.types
+                   for f in _euler_denominators(*_reduced_denominator(ft))]
+        layout = KroneckerLayout.fit(default_prefactor(cat), factors, 96)
+        # u^2 L times at most (u s)^96 and (L^17 s)^96
+        assert (layout.rows, layout.slots, layout.l_offset) == (99, 1633, 1)
+
+    def test_oversized_order_is_refused_before_any_series(self):
+        with pytest.raises(LayoutTooLarge, match="order 100000 is too large"):
+            z_triv(catalog("full"), 100000)
 
 
 class TestMultivariateH:
