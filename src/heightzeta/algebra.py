@@ -450,9 +450,6 @@ class DiscSeries:
         """Per-degree rational values of a fully specialized series."""
         return [c.constant() for c in self.coeffs]
 
-    def to_json(self):
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
-
     def __str__(self):
         parts = []
         for n, c in enumerate(self.coeffs):

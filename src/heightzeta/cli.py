@@ -4,6 +4,14 @@ Output is byte-deterministic: JSON is emitted with sorted keys and no
 timestamps, and every arbitrary-precision coefficient is rendered as a
 decimal string.
 
+JSON is written by `_Encoder`, entered as one
+`json.dumps(payload, sort_keys=True, indent=2, cls=_Encoder)` call per
+document, and its text equals `json.dumps(sort_keys=True, indent=2)` of the
+same payload with each `LatticePoly` replaced by its `to_json()["terms"]`.
+Payloads carry `LatticePoly` values as they are: each is written as its
+term list through one precomputed %-template per nesting depth, and
+everything else through a short recursive walk.
+
 Exit codes: 0 success, 1 usage error, 2 oracle mismatch.
 """
 from __future__ import annotations
@@ -14,6 +22,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import LatticePoly, LayoutTooLarge, LefschetzPoly
 from .kodaira import CATALOG_NAMES, catalog, catalog_to_json
@@ -101,13 +111,82 @@ def parse_prefactor(text) -> LatticePoly:
     return result
 
 
-def _series_payload(series):
-    return [{"s": n, **c.to_json()} for n, c in enumerate(series.coeffs)]
+@lru_cache(maxsize=None)
+def _term_template(nl):
+    """One LatticePoly term as indented JSON, for a term whose line starts
+    with `nl` (newline plus indentation)."""
+    inner = nl + "  "
+    return f'{{{inner}"L": %d,{inner}"c": "%s",{inner}"u": %d{nl}}}'
+
+
+def _walk(obj, nl, out):
+    """Append the indent=2 JSON text of `obj`, which starts on the line
+    `nl` (newline plus indentation) opens, to the list `out`."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, LatticePoly):
+        if not obj.terms:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        tmpl = _term_template(inner)
+        out.append("[" + inner)
+        out.append(("," + inner).join([
+            tmpl % (l_exp, v, u_exp)
+            for u_exp, lef in sorted(obj.terms.items())
+            for l_exp, v in sorted(lef.terms.items())]))
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _walk(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _walk(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        f"is not JSON serializable")
+
+
+class _Encoder(json.JSONEncoder):
+    """Writes what `json.dumps(..., sort_keys=True, indent=2)` writes, and
+    `LatticePoly` values as their `to_json()["terms"]` lists; only valid
+    with those two settings."""
+
+    def encode(self, o):
+        out = []
+        _walk(o, "\n", out)
+        return "".join(out)
 
 
 def _emit(payload, fmt, rows=None):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, cls=_Encoder))
     elif fmt == "csv":
         for row in rows:
             print(",".join(str(x) for x in row))
@@ -141,9 +220,10 @@ def cmd_compute(args):
     payload = {
         "catalog": cat.name,
         "order": args.order,
-        "prefactor": prefactor.to_json(),
-        "series": _series_payload(result.series),
-        "t_series": [{"n": i, **c.to_json()}
+        "prefactor": {"terms": prefactor},
+        "series": [{"s": n, "terms": c}
+                   for n, c in enumerate(result.series.coeffs)],
+        "t_series": [{"n": i, "terms": c}
                      for i, c in enumerate(result.t_series)],
         "residual_degrees": list(result.residual_degrees),
     }
@@ -162,12 +242,12 @@ def cmd_specialize(args):
         raise UsageError("L=0 is not allowed: negative L-exponents may occur")
     result = z_triv(cat, args.order, prefactor)
     series = result.series.specialize(u_val=u_val, L_val=l_val)
-    entries = []
-    for n, c in enumerate(series.coeffs):
-        if u_val is not None and l_val is not None:
-            entries.append({"s": n, "value": str(c.constant())})
-        else:
-            entries.append({"s": n, **c.to_json()})
+    full = u_val is not None and l_val is not None
+    if full:
+        entries = [{"s": n, "value": str(c.constant())}
+                   for n, c in enumerate(series.coeffs)]
+    else:
+        entries = [{"s": n, "terms": c} for n, c in enumerate(series.coeffs)]
     payload = {
         "catalog": cat.name,
         "order": args.order,
@@ -175,8 +255,13 @@ def cmd_specialize(args):
         "L": str(l_val) if l_val is not None else None,
         "series": entries,
     }
-    _emit(payload, args.format,
-          [f"s^{e['s']}: {e.get('value', e.get('terms'))}" for e in entries])
+    rows = None
+    if args.format == "table":
+        # a partial substitution shows the repr of its JSON term list
+        rows = [f"s^{e['s']}: "
+                f"{e['value'] if full else e['terms'].to_json()['terms']}"
+                for e in entries]
+    _emit(payload, args.format, rows)
     return EXIT_OK
 
 

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heightzeta
 
-from heightzeta.algebra import L, LatticePoly
+from heightzeta import cli
+from heightzeta.algebra import L, LatticePoly, LefschetzPoly
 from heightzeta.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -263,6 +266,21 @@ GOLDEN_STDOUT = [
     (("specialize", "--catalog", "full", "--order", "30", "--u=-3/7",
       "--L=5/4", "--format", "json"),
      "c0b6b50248a4e955e7f673b8f2afd614549f6488c482e4c9564655f24f9e3a83"),
+    (("specialize", "--catalog", "full", "--order", "12", "--L=2"),
+     "dd9a95b3f8883e48f57bb986d21189c5162bcac111912983c3380b523b61e026"),
+    (("specialize", "--catalog", "full", "--order", "12", "--u=3/4"),
+     "35a0ae4399be6a3fc2a42c28ece406254711957ad6cc27b4b61a97d387ca9391"),
+    (("specialize", "--catalog", "full", "--order", "12", "--u=3/4",
+      "--format", "json"),
+     "4bb4897d6db853c86c0f4bb871ce51601acb1c79010568b8706db1cebb619c5a"),
+    (("export-catalog", "--catalog", "gamma1_4"),
+     "4ac1e1118f2ba44cbe4824b3018471cf21f9788a65179d089d0edd0aa4929517"),
+    (("compute", "--catalog", "gamma1_2", "--order", "36",
+      "--prefactor=u^1*-7", "--format", "json"),
+     "d7c8f00ab66a4a648297518b682d566a66d5f6fb6e6d6e4d6cdf8efaf85cb251"),
+    (("compute", "--catalog", "gamma1_3", "--order", "44",
+      "--prefactor=u^3*L^-4", "--format", "json"),
+     "845f51da61acb17cc1741209f69229c79d3455f30b2a5bff734a841293ce1577"),
 ]
 
 
@@ -272,3 +290,86 @@ def test_golden_stdout_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Payload trees for the JSON writer: every leaf type the CLI payloads use,
+# strings that need escaping, and LatticePoly values with negative
+# L-exponents, wide and rational coefficients, and the zero polynomial.
+json_text = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')),
+    max_size=8)
+wide_coefs = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2 ** 80, 2 ** 100),
+    st.integers(-(2 ** 100), -(2 ** 80)),
+    st.fractions(max_denominator=50))
+json_polys = st.dictionaries(
+    st.integers(0, 6),
+    st.dictionaries(st.integers(-6, 6), wide_coefs, max_size=4).map(LefschetzPoly),
+    max_size=4).map(LatticePoly)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2 ** 64, 2 ** 200), st.integers(-(2 ** 200), -(2 ** 64)),
+    json_text, json_polys, st.just(LatticePoly.zero()))
+json_trees = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(json_text, children, max_size=4)), max_leaves=24)
+
+
+def plain(x):
+    """The payload with every LatticePoly replaced by its JSON term list."""
+    if isinstance(x, LatticePoly):
+        return x.to_json()["terms"]
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    return x
+
+
+class TestEncoder:
+    @given(json_trees)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps_indent_2(self, x):
+        assert (json.dumps(x, sort_keys=True, indent=2, cls=cli._Encoder)
+                == json.dumps(plain(x), sort_keys=True, indent=2))
+
+    def test_rational_coefficients_and_zero_poly(self):
+        poly = LatticePoly({0: LefschetzPoly({-2: Fraction(9, 16)}), 3: 2 ** 90})
+        text = json.dumps({"a": poly, "b": LatticePoly.zero()},
+                          sort_keys=True, indent=2, cls=cli._Encoder)
+        assert json.loads(text) == {
+            "a": [{"u": 0, "L": -2, "c": "9/16"}, {"u": 3, "L": 0, "c": str(2 ** 90)}],
+            "b": []}
+
+    @pytest.mark.parametrize("leaf", [1.5, {1, 2}, {3: "int key"}])
+    def test_rejects_what_json_dumps_would_not_write_the_same(self, leaf):
+        with pytest.raises(TypeError):
+            json.dumps({"a": [leaf]}, sort_keys=True, indent=2, cls=cli._Encoder)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--catalog", "gamma1_3", "--order", "14", "--format", "json"),
+    ("specialize", "--catalog", "full", "--order", "6", "--u=3/4",
+     "--format", "json"),
+    ("specialize", "--catalog", "full", "--order", "6", "--u=3/4", "--L=2",
+     "--format", "json"),
+    ("census", "--catalog", "full", "--max-degree", "12", "--format", "json"),
+    ("export-catalog", "--catalog", "full"),
+], ids=lambda argv: argv[0])
+def test_one_json_dumps_call_returns_the_whole_document(capsys, monkeypatch, argv):
+    # the benchmark's tracer times cli.json.dumps as the serializer
+    # and counts its result as the output size
+    real = cli.json.dumps
+    results = []
+
+    def counting(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(results) == 1
+    assert results[0] == out[:-1]
